@@ -139,6 +139,15 @@ impl Gateway {
     /// Provisions (or re-provisions) one sensor into `cohort`, deriving
     /// its session key from the fleet seed.
     ///
+    /// Re-provisioning replaces the sensor's session (fresh keys, replay
+    /// window and gap anchor, possibly a new cohort) but never un-counts
+    /// traffic already accepted: those frames stay in the fleet report's
+    /// cohort rollups, the nonce audit and the leakage audit, under the
+    /// cohort that accepted them. A cohort is listed in the
+    /// [leakage audit](Gateway::leakage_audit) if it has a provisioned
+    /// session *or* an accepted frame — a provisioned cohort whose
+    /// sensors sent nothing still gets its (zero-count) entry.
+    ///
     /// # Errors
     ///
     /// [`GatewayError::UnknownCohort`] if `cohort` is out of range.
@@ -154,7 +163,7 @@ impl Gateway {
             }
             None => {
                 let key = derive_key(self.config.fleet_seed, sensor_id);
-                Session::new(key, cohort, 0)
+                Session::new(key, cohort)
             }
         };
         if let Some(slot) = self.shards.get_mut(shard) {
@@ -273,7 +282,6 @@ impl Gateway {
             }
             active_sensors += shard
                 .sessions()
-                .values()
                 .filter(|s| s.receiver.stats().accepted > 0)
                 .count() as u64;
         }
@@ -379,22 +387,19 @@ impl Gateway {
         (records, dropped)
     }
 
-    /// Assembles the fleet leakage audit from every session's size and
-    /// gap histograms, keyed `(label, cohort name)`. Pre-binned counts
-    /// merge commutatively, so the audit — and the report scored from
-    /// it — is byte-identical at any shard/thread count.
+    /// Assembles the fleet leakage audit from every shard's per-cohort
+    /// size and gap histograms, keyed `(label, cohort name)`. Pre-binned
+    /// counts merge commutatively, so the audit — and the report scored
+    /// from it — is byte-identical at any shard/thread count. Cohorts
+    /// are listed by the rule in [`Gateway::provision`].
     #[cfg(feature = "telemetry")]
     pub fn leakage_audit(&self) -> LeakageAudit {
         let mut audit = LeakageAudit::new();
         for shard in &self.shards {
-            for session in shard.sessions().values() {
-                if let Some(cohort) = self.config.cohorts.get(session.cohort) {
-                    audit.absorb(
-                        &self.config.label,
-                        &cohort.name,
-                        &session.sizes,
-                        &session.gaps,
-                    );
+            let cohorts = self.config.cohorts.iter().zip(&shard.cohorts);
+            for ((cohort, stats), (sizes, gaps)) in cohorts.zip(&shard.leakage) {
+                if stats.sensors > 0 || stats.frames > 0 {
+                    audit.absorb(&self.config.label, &cohort.name, sizes, gaps);
                 }
             }
         }

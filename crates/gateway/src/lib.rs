@@ -3,7 +3,7 @@
 //! One sensor per link is the paper's setting; real deployments
 //! aggregate. This crate scales the receive side to a fleet: a
 //! *gateway* holds a session table mapping sensor id → (session key,
-//! replay window, key epoch, per-sensor leakage histograms), sharded by
+//! replay window, key epoch, gap anchor), sharded by
 //! a pure hash of the sensor id so every shard owns a disjoint slice of
 //! the fleet and steady-state ingest is lock-free and allocation-free.
 //!
@@ -77,6 +77,7 @@ mod latency;
 mod route;
 mod session;
 mod shard;
+mod table;
 
 pub use frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN};
 pub use gateway::{Cohort, CohortReport, FleetReport, Gateway, GatewayConfig};

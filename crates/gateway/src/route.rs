@@ -15,7 +15,7 @@ use age_telemetry::DetRng;
 /// (provisioned in a loop), so the router must not use the raw id
 /// modulo the shard count — that maps contiguous ranges to contiguous
 /// shards and any id-assignment pattern straight into load imbalance.
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

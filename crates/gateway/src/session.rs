@@ -1,15 +1,13 @@
 //! One sensor's server-side session state.
 //!
 //! The session table maps sensor id → (receive keys, replay window,
-//! epoch, per-sensor leakage histograms). Everything a shard rolls up
-//! at report time is either kept here per sensor or merged
-//! commutatively, which is what lets the fleet report come out
-//! byte-identical at any shard or thread count.
+//! cohort, gap anchor). Only what must be per sensor lives here: the
+//! leakage histograms are binned per (shard, cohort) by the shard, and
+//! every rollup merges commutatively, which is what lets the fleet
+//! report come out byte-identical at any shard or thread count.
 
 use age_crypto::ChaCha20Poly1305;
-#[cfg(feature = "telemetry")]
-use age_telemetry::LeakageStream;
-use age_transport::{chacha20poly1305_factory, epoch_skip_budget, Receiver};
+use age_transport::{epoch_skip_budget, Receiver};
 
 /// The far-future skip tolerance, shared with every single-link receiver:
 /// one definition in `age-transport` ([`age_transport::MAX_SKIP`]) so the
@@ -18,42 +16,27 @@ pub(crate) use age_transport::MAX_SKIP;
 
 /// Server-side state for one provisioned sensor.
 pub(crate) struct Session {
-    /// Authenticates and replay-checks this sensor's frames.
-    pub(crate) receiver: Receiver,
+    /// Authenticates and replay-checks this sensor's frames. The AEAD is
+    /// held inline (no `Box<dyn Cipher>`), so a session is one slab slot
+    /// plus, for rekeying sessions only, the receiver's boxed rekey state.
+    pub(crate) receiver: Receiver<ChaCha20Poly1305>,
     /// Index into the gateway's cohort table (selects the decoder and
     /// the leakage stream name).
     pub(crate) cohort: usize,
-    /// Latest key epoch the receiver has followed; rekeying sessions
-    /// refresh it after every accept, static sessions keep the
-    /// provisioned value (0). The nonce audit keys on the epoch each
-    /// frame actually *opened* under, so reuse across a rekey is
-    /// distinguishable from reuse within one.
-    pub(crate) epoch: u64,
     /// Virtual send stamp of the last *accepted* frame; the anchor for
     /// per-sensor inter-transmission gaps. Kept per session because the
     /// fleet interleaves sensors arbitrarily — a shared gap clock would
     /// measure the interleaving, not any sensor's cadence.
     pub(crate) last_send_us: Option<u64>,
-    /// Size histogram of this sensor's accepted frames.
-    #[cfg(feature = "telemetry")]
-    pub(crate) sizes: LeakageStream,
-    /// Gap histogram of this sensor's accepted frames.
-    #[cfg(feature = "telemetry")]
-    pub(crate) gaps: LeakageStream,
 }
 
 impl Session {
     /// A fresh session over `key` in `cohort`.
-    pub(crate) fn new(key: [u8; 32], cohort: usize, epoch: u64) -> Session {
+    pub(crate) fn new(key: [u8; 32], cohort: usize) -> Session {
         Session {
-            receiver: Receiver::with_max_skip(Box::new(ChaCha20Poly1305::new(key)), MAX_SKIP),
+            receiver: Receiver::with_max_skip(ChaCha20Poly1305::new(key), MAX_SKIP),
             cohort,
-            epoch,
             last_send_us: None,
-            #[cfg(feature = "telemetry")]
-            sizes: LeakageStream::default(),
-            #[cfg(feature = "telemetry")]
-            gaps: LeakageStream::default(),
         }
     }
 
@@ -66,48 +49,23 @@ impl Session {
                 root,
                 MAX_SKIP,
                 epoch_skip_budget(MAX_SKIP, interval),
-                chacha20poly1305_factory,
+                ChaCha20Poly1305::new,
             ),
             cohort,
-            epoch: 0,
             last_send_us: None,
-            #[cfg(feature = "telemetry")]
-            sizes: LeakageStream::default(),
-            #[cfg(feature = "telemetry")]
-            gaps: LeakageStream::default(),
         }
     }
 
-    /// Feeds one accepted frame into the session's leakage histograms:
-    /// the wire size always, and — when this is not the session's first
-    /// frame and the stamp advanced — the gap since the previous accept,
-    /// labeled with the arriving frame's event (matching
-    /// `LeakageAudit::observe_timed` semantics exactly).
-    ///
-    /// Returns the gap that was recorded, if any, so the shard can feed
-    /// the same observation into its windowed monitor without
-    /// re-deriving the session's gap-anchor rules.
-    pub(crate) fn observe_accepted(
-        &mut self,
-        event: usize,
-        wire_len: usize,
-        sent_at_us: u64,
-    ) -> Option<u64> {
+    /// Advances the gap anchor past one accepted frame sent at
+    /// `sent_at_us`, returning the gap since the previous accept — `None`
+    /// on the session's first frame and when the stamp did not advance
+    /// (a sensor clock restart; no gap is recorded across the seam, same
+    /// as `LeakageAudit::observe_timed`).
+    pub(crate) fn observe_accepted(&mut self, sent_at_us: u64) -> Option<u64> {
         let gap_us = match self.last_send_us {
             Some(prev) if sent_at_us > prev => Some(sent_at_us - prev),
             _ => None,
         };
-        #[cfg(feature = "telemetry")]
-        {
-            self.sizes.observe(event, wire_len);
-            if let Some(gap) = gap_us {
-                self.gaps.observe(event, gap as usize);
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (event, wire_len);
-        // A non-advancing stamp is a sensor clock restart; no gap is
-        // recorded across the seam, same as `LeakageAudit::observe_timed`.
         self.last_send_us = Some(sent_at_us);
         gap_us
     }

@@ -4,17 +4,16 @@
 //! [`shard_of`](crate::shard_of)) and all the scratch buffers the
 //! open→decode path needs, so steady-state ingest touches no heap and
 //! takes no locks. Every rollup a shard accumulates — counters, cohort
-//! stats, nonce sets, leakage histograms held by its sessions — merges
+//! stats, nonce sets, per-cohort leakage histograms — merges
 //! commutatively, which is the whole determinism story: any partition
 //! of the fleet into shards, processed by any number of threads, folds
 //! to the same bytes.
 
-use std::collections::BTreeMap;
-
 use age_core::{Batch, EncodeScratch};
 #[cfg(feature = "telemetry")]
 use age_telemetry::{
-    FleetNonceAudit, FlightRecord, FlightRecorder, IngestRung, Tracer, WindowedMonitor,
+    FleetNonceAudit, FlightRecord, FlightRecorder, IngestRung, LeakageStream, Tracer,
+    WindowedMonitor,
 };
 use age_transport::{ReceiveError, ReceiverStats};
 
@@ -24,6 +23,7 @@ use crate::frame::{FleetFrame, GatewayError, HeaderError, HEADER_LEN};
 use crate::gateway::GatewayConfig;
 use crate::latency::LatencyHistogram;
 use crate::session::Session;
+use crate::table::SessionTable;
 
 /// Schematic virtual durations for the gateway-side trace spans. The
 /// gateway has no virtual CPU model of its own (frames are stamped by
@@ -182,9 +182,16 @@ impl CohortStats {
 
 /// One shard: a disjoint slice of the session table plus scratch.
 pub(crate) struct Shard {
-    sessions: BTreeMap<u64, Session>,
+    sessions: SessionTable,
     pub(crate) stats: ShardStats,
     pub(crate) cohorts: Vec<CohortStats>,
+    /// `(sizes, gaps)` leakage histograms per cohort, fed by every
+    /// accepted frame of the cohort's sessions on this shard. The gaps
+    /// are still extracted per session (see `Session::last_send_us`);
+    /// only the binning is shared, and bins are sums, so the fleet audit
+    /// is the same however sessions are spread over shards.
+    #[cfg(feature = "telemetry")]
+    pub(crate) leakage: Vec<(LeakageStream, LeakageStream)>,
     #[cfg(feature = "telemetry")]
     pub(crate) nonces: FleetNonceAudit,
     pub(crate) latency: LatencyHistogram,
@@ -212,9 +219,11 @@ impl Shard {
         #[cfg(not(feature = "telemetry"))]
         let _ = index;
         Shard {
-            sessions: BTreeMap::new(),
+            sessions: SessionTable::default(),
             stats: ShardStats::default(),
             cohorts: vec![CohortStats::default(); config.cohorts.len()],
+            #[cfg(feature = "telemetry")]
+            leakage: vec![Default::default(); config.cohorts.len()],
             #[cfg(feature = "telemetry")]
             nonces: FleetNonceAudit::default(),
             latency: LatencyHistogram::new(),
@@ -234,8 +243,10 @@ impl Shard {
         }
     }
 
-    pub(crate) fn sessions(&self) -> &BTreeMap<u64, Session> {
-        &self.sessions
+    /// Every session on the shard, in no meaningful order (reports only
+    /// ever sum over it).
+    pub(crate) fn sessions(&self) -> impl Iterator<Item = &Session> {
+        self.sessions.iter()
     }
 
     pub(crate) fn occupancy(&self) -> usize {
@@ -245,7 +256,9 @@ impl Shard {
     pub(crate) fn insert_session(&mut self, sensor_id: u64, session: Session) {
         let cohort = session.cohort;
         // Re-provisioning replaces the session; keep cohort headcounts
-        // exact either way.
+        // exact either way. The old session's accepted frames stay in the
+        // shard's cohort rollups and leakage histograms: an eavesdropper
+        // saw them whatever the session table did afterwards.
         if let Some(old) = self.sessions.insert(sensor_id, session) {
             if let Some(stats) = self.cohorts.get_mut(old.cohort) {
                 stats.sensors = stats.sensors.saturating_sub(1);
@@ -260,7 +273,7 @@ impl Shard {
     /// cross-check that session-level and shard-level accounting agree.
     pub(crate) fn receiver_stats(&self) -> ReceiverStats {
         let mut total = ReceiverStats::default();
-        for session in self.sessions.values() {
+        for session in self.sessions.iter() {
             total.merge(session.receiver.stats());
         }
         total
@@ -367,7 +380,7 @@ impl Shard {
         let mut header = [0u8; HEADER_LEN];
         header.copy_from_slice(&wire[..HEADER_LEN]);
         let sensor_id = u64::from_le_bytes(header);
-        let Some(session) = self.sessions.get_mut(&sensor_id) else {
+        let Some(session) = self.sessions.get_mut(sensor_id) else {
             self.stats.unknown_sensor += 1;
             return Err(GatewayError::UnknownSensor { sensor_id });
         };
@@ -411,17 +424,22 @@ impl Shard {
         let epoch_now = session.receiver.epoch();
         if epoch_now > epoch_before {
             self.stats.rotations += 1;
-            session.epoch = epoch_now;
             #[cfg(feature = "telemetry")]
             {
                 self.rotated_to = Some(epoch_now);
             }
         }
-        let gap_us = session.observe_accepted(frame.event, wire.len(), frame.sent_at_us);
+        let gap_us = session.observe_accepted(frame.sent_at_us);
         #[cfg(not(feature = "telemetry"))]
         let _ = gap_us;
         #[cfg(feature = "telemetry")]
         {
+            if let Some((sizes, gaps)) = self.leakage.get_mut(session.cohort) {
+                sizes.observe(frame.event, wire.len());
+                if let Some(gap) = gap_us {
+                    gaps.observe(frame.event, gap as usize);
+                }
+            }
             // Keyed on the epoch the frame actually *opened* under (a
             // straggler opens one epoch behind the receiver's current) —
             // on static sessions `last_epoch` is always 0, matching the

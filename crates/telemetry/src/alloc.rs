@@ -7,9 +7,13 @@
 //! a test (or bench) can snapshot before and after a code region and assert
 //! the delta — without interference from other test-harness threads.
 //!
-//! Deallocations are deliberately not counted: freeing reuses no budget we
+//! Deallocations are not counted per thread: freeing reuses no budget we
 //! care about, and the regression target is "no new heap traffic", which
-//! alloc/realloc alone capture.
+//! alloc/realloc alone capture. Separately, the allocator keeps one
+//! **process-wide** live-bytes figure (bytes allocated minus bytes freed,
+//! across all threads), read by [`live_bytes`]: the resident heap of a
+//! structure built on several threads, such as a gateway session table
+//! drained by parallel workers.
 //!
 //! # Examples
 //!
@@ -27,6 +31,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering};
 
 thread_local! {
     // Const-initialized cells: reading them never allocates, so the
@@ -35,8 +40,11 @@ thread_local! {
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Bytes currently allocated through a [`CountingAllocator`], process-wide.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
 /// A `#[global_allocator]` that forwards to [`System`] while counting
-/// allocations and allocated bytes per thread.
+/// allocations and allocated bytes per thread, and live bytes per process.
 #[derive(Debug, Default)]
 pub struct CountingAllocator;
 
@@ -76,6 +84,22 @@ pub fn snapshot() -> AllocSnapshot {
     }
 }
 
+/// Heap bytes currently live in the whole process: every byte allocated
+/// minus every byte freed, on all threads, since the process started. Zero
+/// unless a [`CountingAllocator`] is installed as the global allocator.
+/// Subtract two readings to measure what a region *keeps* (its resident
+/// heap), as opposed to what it churns.
+pub fn live_bytes() -> i64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Moves the live-bytes figure by `delta` (negative on free or shrink).
+/// `Relaxed` suffices: the figure is a statistic and publishes no other
+/// data.
+fn track(delta: i64) {
+    LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+}
+
 /// Bumps the counters; `try_with` so allocations during thread-local
 /// teardown (where the keys are already destroyed) stay safe, if uncounted.
 fn count(bytes: usize) {
@@ -88,21 +112,34 @@ fn count(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        track(-(layout.size() as i64));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let grown = unsafe { System.realloc(ptr, layout, new_size) };
+        if !grown.is_null() {
+            track(new_size as i64 - layout.size() as i64);
+        }
+        grown
     }
 }
 
@@ -130,6 +167,31 @@ mod tests {
                 bytes: 64
             }
         );
+    }
+
+    // The only test in this binary that drives the allocator itself, so
+    // the process-wide figure moves by exactly what it does here.
+    #[test]
+    fn live_bytes_subtract_frees_and_follow_reallocs() {
+        let start = live_bytes();
+        let layout = Layout::from_size_align(100, 8).unwrap();
+        // SAFETY: every pointer is non-null (asserted) and freed exactly
+        // once, through the same allocator, with the layout it was last
+        // allocated or reallocated with; none is dereferenced.
+        unsafe {
+            let ptr = CountingAllocator.alloc(layout);
+            assert!(!ptr.is_null());
+            assert_eq!(live_bytes() - start, 100);
+            let grown = CountingAllocator.realloc(ptr, layout, 300);
+            assert!(!grown.is_null());
+            assert_eq!(live_bytes() - start, 300);
+            let zeroed = CountingAllocator.alloc_zeroed(layout);
+            assert!(!zeroed.is_null());
+            assert_eq!(live_bytes() - start, 400);
+            CountingAllocator.dealloc(zeroed, layout);
+            CountingAllocator.dealloc(grown, Layout::from_size_align(300, 8).unwrap());
+        }
+        assert_eq!(live_bytes(), start);
     }
 
     #[test]

@@ -383,25 +383,32 @@ impl ReceiverStats {
 }
 
 /// Rekey state for a [`Receiver`]: the ratchet at the current epoch plus
-/// the skew-tolerance machinery.
-struct ReceiverRekey {
+/// the skew-tolerance machinery. Boxed inside the receiver, so a static
+/// receiver pays one pointer for it and a rotation only rewrites it in
+/// place.
+struct ReceiverRekey<C> {
     ratchet: EpochRatchet,
     /// Cipher for the previous epoch, kept so stragglers sealed just
     /// before a rotation still open (the deliberate skew-tolerance
     /// trade-off: one old epoch key stays in memory until the next
     /// rotation retires it).
-    prev_cipher: Option<Box<dyn Cipher>>,
+    prev_cipher: Option<C>,
     /// How many epochs ahead the receiver probes before giving up (see
     /// [`epoch_skip_budget`]).
     skip: u64,
-    factory: CipherFactory,
+    factory: fn([u8; 32]) -> C,
 }
 
 /// The server half: opens frames, enforces the replay window, and degrades
 /// gracefully — every malformed, forged, replayed, or stale frame becomes a
 /// [`ReceiveError`], never a panic.
-pub struct Receiver {
-    cipher: Box<dyn Cipher>,
+///
+/// Generic over its cipher: the link sims pick ciphers at run time and
+/// hold a `Box<dyn Cipher>` (the default), while a fleet gateway holding
+/// one receiver per sensor stores a concrete AEAD inline, so neither its
+/// sessions nor its epoch probes touch the heap for key material.
+pub struct Receiver<C = Box<dyn Cipher>> {
+    cipher: C,
     window: ReplayWindow,
     max_skip: u64,
     stats: ReceiverStats,
@@ -410,7 +417,7 @@ pub struct Receiver {
     /// Epoch the most recently accepted frame actually opened under —
     /// `epoch - 1` for a straggler accepted via the previous-epoch cipher.
     last_epoch: u64,
-    rekey: Option<ReceiverRekey>,
+    rekey: Option<Box<ReceiverRekey<C>>>,
 }
 
 impl Receiver {
@@ -422,13 +429,22 @@ impl Receiver {
 
     /// Default epoch probe budget when no watermark interval is known.
     pub const DEFAULT_EPOCH_SKIP: u64 = 4;
+}
 
+impl<C: Cipher> Receiver<C> {
     /// A receiver with an empty replay window.
-    pub fn new(cipher: Box<dyn Cipher>) -> Self {
+    pub fn new(cipher: C) -> Self {
+        Receiver::with_max_skip(cipher, MAX_SKIP)
+    }
+
+    /// A receiver with a custom far-future guard distance (sessions whose
+    /// senders legitimately skip far ahead, or fuzz harnesses probing the
+    /// guard, tighten or widen it here).
+    pub fn with_max_skip(cipher: C, max_skip: u64) -> Self {
         Receiver {
             cipher,
             window: ReplayWindow::new(),
-            max_skip: Self::MAX_SKIP,
+            max_skip,
             stats: ReceiverStats::default(),
             epoch: 0,
             last_epoch: 0,
@@ -436,35 +452,28 @@ impl Receiver {
         }
     }
 
-    /// A receiver with a custom far-future guard distance (sessions whose
-    /// senders legitimately skip far ahead, or fuzz harnesses probing the
-    /// guard, tighten or widen it here).
-    pub fn with_max_skip(cipher: Box<dyn Cipher>, max_skip: u64) -> Self {
-        let mut receiver = Receiver::new(cipher);
-        receiver.max_skip = max_skip;
-        receiver
-    }
-
     /// A rekey-capable receiver: keys come from an [`EpochRatchet`]
     /// chained off `root`, and a frame that fails to open under the
     /// current epoch key is retried under the previous epoch's key and up
     /// to `epoch_skip` future epochs' keys (see [`epoch_skip_budget`]) —
     /// so lost rotation frames and post-brownout epoch jumps degrade into
-    /// one extra trial decryption instead of a bricked session.
+    /// one extra trial decryption instead of a bricked session. `factory`
+    /// builds each epoch's cipher from its key ([`CipherFactory`] for a
+    /// boxed receiver, e.g. `ChaCha20Poly1305::new` for an inline one).
     pub fn with_ratchet(
         root: [u8; 32],
         max_skip: u64,
         epoch_skip: u64,
-        factory: CipherFactory,
+        factory: fn([u8; 32]) -> C,
     ) -> Self {
         let ratchet = EpochRatchet::new(root);
         let mut receiver = Receiver::with_max_skip(factory(ratchet.key()), max_skip);
-        receiver.rekey = Some(ReceiverRekey {
+        receiver.rekey = Some(Box::new(ReceiverRekey {
             ratchet,
             prev_cipher: None,
             skip: epoch_skip.max(1),
             factory,
-        });
+        }));
         receiver
     }
 
@@ -579,6 +588,8 @@ impl Receiver {
         // Forward probes. Deriving a candidate key is a handful of
         // permutations, and this path only runs for frames the current
         // key already rejected — genuine rotations, not steady traffic.
+        // With an inline cipher each candidate lives on the stack, so
+        // probing (and a forged-frame flood) allocates nothing.
         let mut probe = rekey.ratchet.clone();
         for _ in 0..rekey.skip {
             let key_below = probe.key();
